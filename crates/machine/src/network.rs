@@ -24,12 +24,17 @@
 //! once and reused until the link-fault state changes
 //! ([`Network::fail_link`], [`Network::degrade_link`], and
 //! [`Network::recover_link`] clear the table wholesale). The cache is a
-//! map over *touched* pairs, not an `n²` table. The hot paths —
-//! [`Network::try_transmit`] per packet and [`Network::estimate`] per
-//! retransmission-timeout computation — then serve routes out of the cache
-//! instead of re-deriving and re-allocating the path per message. Cached
-//! and uncached runs are bitwise identical: the cache stores exactly what
-//! [`Network::compute_route`] would return.
+//! map over *touched* pairs, not an `n²` table. Each entry holds the
+//! route's link ids and, once the pair has carried a message, the slab
+//! slots of those links, so [`Network::try_transmit`] pays one map lookup
+//! per message and its per-packet contention loop indexes the slab
+//! directly. Slots resolve lazily, in route order, on the first transmit:
+//! the probes ([`Network::estimate`], [`Network::route_links`],
+//! [`Network::min_delivery_latency`]) read only link ids and so allocate
+//! no link record. Cached and uncached runs are bitwise identical: the
+//! cache stores exactly what [`Network::compute_route`] would return, and
+//! resolving its slots allocates the same records in the same order as
+//! the uncached path does per message.
 
 use crate::config::{MachineConfig, Topology};
 use crate::{Cycles, Words};
@@ -39,8 +44,11 @@ use std::collections::BTreeMap;
 /// Per-link hot state, allocated on first touch (traffic or fault).
 ///
 /// Structure-of-arrays over slab slots: the transmit inner loop walks
-/// `free`/`busy`/`degrade` by slot index after one id→slot resolution per
-/// route, so packet contention never pays a map lookup.
+/// `free`/`busy`/`degrade` by the slot indices a cached [`Route`] holds, so
+/// packet contention never pays a map lookup. Records are never freed or
+/// moved, so a slot index stays valid for the life of the slab — across
+/// [`Network::reset`] (which zeroes traffic in place) and `Clone` (which
+/// copies the slab and the cache together).
 #[derive(Clone, Debug, Default)]
 struct LinkSlab {
     /// Link id → slot index. A `BTreeMap` keeps iteration deterministic
@@ -86,6 +94,55 @@ impl LinkSlab {
     }
 }
 
+/// One route between a pair of clusters, as the cache stores it.
+#[derive(Clone, Debug)]
+struct Route {
+    /// Link ids in path order (never empty: routes join distinct clusters).
+    links: Box<[u32]>,
+    /// Slab slots of `links`, in the same order; empty until the first
+    /// transmit over the route resolves them.
+    slots: Box<[u32]>,
+    /// Whether the route detours around a dead link.
+    rerouted: bool,
+}
+
+impl Route {
+    fn new(path: Vec<usize>, rerouted: bool) -> Self {
+        Route {
+            links: link_ids(path),
+            slots: Box::default(),
+            rerouted,
+        }
+    }
+
+    /// The slab slots of this route's links, allocating link records in
+    /// route order the first time it is called.
+    fn resolve(&mut self, slab: &mut LinkSlab) -> &[u32] {
+        if self.slots.is_empty() {
+            self.slots = self
+                .links
+                .iter()
+                .map(|&l| {
+                    u32::try_from(slab.ensure(l as usize)).expect("link slab exceeds u32 slots")
+                })
+                .collect();
+        }
+        &self.slots
+    }
+}
+
+/// A path's link ids in the cache's compact form.
+fn link_ids(path: Vec<usize>) -> Box<[u32]> {
+    path.into_iter()
+        .map(|l| u32::try_from(l).expect("link id exceeds u32"))
+        .collect()
+}
+
+/// Cache key of the `(from, to)` pair.
+fn route_key(from: u32, to: u32) -> u64 {
+    (u64::from(from) << 32) | u64::from(to)
+}
+
 /// The inter-cluster network: topology, per-link reservation times, and
 /// traffic counters.
 #[derive(Clone, Debug)]
@@ -107,12 +164,7 @@ pub struct Network {
     /// `from << 32 | to`; `None` = no live route under the current fault
     /// state. Cleared wholesale on fault transitions. Interior-mutable so
     /// `&self` estimators can fill it.
-    #[allow(clippy::type_complexity)]
-    cache: RefCell<BTreeMap<u64, Option<(Vec<usize>, bool)>>>,
-    /// Reusable path buffer for the transmit/estimate loops.
-    scratch: RefCell<Vec<usize>>,
-    /// Reusable route-slot buffer for the transmit contention loop.
-    scratch_slots: Vec<usize>,
+    cache: RefCell<BTreeMap<u64, Option<Route>>>,
     /// Remote messages transmitted.
     pub messages: u64,
     /// Packets transmitted (after segmentation).
@@ -154,8 +206,6 @@ impl Network {
             slab: LinkSlab::default(),
             cache_enabled: cfg.route_cache,
             cache: RefCell::new(BTreeMap::new()),
-            scratch: RefCell::new(Vec::new()),
-            scratch_slots: Vec::new(),
             messages: 0,
             packets: 0,
             rerouted_packets: 0,
@@ -399,16 +449,16 @@ impl Network {
     /// Pick a live route: the primary path when intact, otherwise the
     /// topology's deterministic detour. Returns the path and whether it is
     /// a detour; `None` when every candidate crosses a dead link. This is
-    /// the uncached reference computation; hot paths go through
-    /// [`Network::route_into`] which memoizes its result per fault epoch.
+    /// the uncached reference computation; the cache memoizes its result
+    /// per fault epoch.
     ///
     /// Detour candidates are checked whole (`path_alive`), in a fixed
     /// order, so a chosen detour never crosses — and never revisits — a
     /// dead link, and the choice depends only on the fault state.
-    fn compute_route(&self, from: u32, to: u32) -> Option<(Vec<usize>, bool)> {
+    fn compute_route(&self, from: u32, to: u32) -> Option<Route> {
         let primary = self.primary_route(from, to);
         if self.path_alive(&primary) {
-            return Some((primary, false));
+            return Some(Route::new(primary, false));
         }
         let n = self.clusters as usize;
         let alt = match &self.topology {
@@ -451,28 +501,23 @@ impl Network {
                     .find(|p| self.path_alive(p))
             }
         };
-        alt.map(|p| (p, true))
+        alt.map(|p| Route::new(p, true))
     }
 
-    /// Copy the current route for `(from, to)` into `buf`, computing and
-    /// caching it if this epoch has not seen the pair yet. Returns whether
-    /// the route is a detour, or `None` when no live route exists (also
-    /// cached, so repeated unreachable probes stay cheap).
-    fn route_into(&self, from: u32, to: u32, buf: &mut Vec<usize>) -> Option<bool> {
-        buf.clear();
+    /// Run `f` over the current route for `(from, to)`, computing and
+    /// caching it if this epoch has not seen the pair yet (recomputing it
+    /// when the cache is off). `None` when no live route exists (also
+    /// cached, so repeated unreachable probes stay cheap). Probes read link
+    /// ids only and never resolve slots, so they allocate no link record.
+    fn with_route<R>(&self, from: u32, to: u32, f: impl FnOnce(Option<&Route>) -> R) -> R {
         if !self.cache_enabled {
-            let (path, rerouted) = self.compute_route(from, to)?;
-            buf.extend_from_slice(&path);
-            return Some(rerouted);
+            return f(self.compute_route(from, to).as_ref());
         }
         let mut cache = self.cache.borrow_mut();
-        let key = (u64::from(from) << 32) | u64::from(to);
-        let slot = cache
-            .entry(key)
+        let route = cache
+            .entry(route_key(from, to))
             .or_insert_with(|| self.compute_route(from, to));
-        let (path, rerouted) = slot.as_ref()?;
-        buf.extend_from_slice(path);
-        Some(*rerouted)
+        f(route.as_ref())
     }
 
     /// The link ids a message from `from` to `to` would traverse right now,
@@ -482,9 +527,9 @@ impl Network {
         if from == to {
             return Some(Vec::new());
         }
-        let mut buf = Vec::new();
-        self.route_into(from, to, &mut buf)?;
-        Some(buf)
+        self.with_route(from, to, |route| {
+            route.map(|r| r.links.iter().map(|&l| l as usize).collect())
+        })
     }
 
     /// Transmit `words` of payload from cluster `from` to cluster `to`,
@@ -515,20 +560,30 @@ impl Network {
         if from == to {
             return Some(now + words.div_ceil(self.words_per_cycle as Words).max(1));
         }
-        // Borrow the reusable path buffer out of its cell so the contention
-        // loop below can mutate link state without aliasing it.
-        let mut route = self.scratch.take();
-        let Some(rerouted) = self.route_into(from, to, &mut route) else {
-            self.scratch.replace(route);
-            return None;
-        };
+        if !self.cache_enabled {
+            let mut route = self.compute_route(from, to)?;
+            return Some(self.send_packets(now, &mut route, words));
+        }
+        // Take the cache out of its cell for the call, so a miss can
+        // compute the route (`&self`) and the hit can mutate link state
+        // while borrowing the entry's slots: one map lookup per message.
+        let mut cache = std::mem::take(self.cache.get_mut());
+        let route = cache
+            .entry(route_key(from, to))
+            .or_insert_with(|| self.compute_route(from, to));
+        let arrival = route.as_mut().map(|r| self.send_packets(now, r, words));
+        *self.cache.get_mut() = cache;
+        arrival
+    }
+
+    /// Segment `words` into packets and send them store-and-forward over
+    /// `route` with per-link FIFO contention, charging the traffic
+    /// counters. Returns the arrival time of the last packet.
+    fn send_packets(&mut self, now: Cycles, route: &mut Route, words: Words) -> Cycles {
+        let rerouted = route.rerouted;
+        let slots = route.resolve(&mut self.slab);
         self.messages += 1;
         self.payload_words += words;
-        // Resolve link ids to slab slots once per call; the per-packet
-        // contention loop below then indexes the slab vectors directly.
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        slots.clear();
-        slots.extend(route.iter().map(|&l| self.slab.ensure(l)));
         let mut remaining = words;
         let mut arrival = now;
         // Segment; a zero-word message still sends one header-only packet.
@@ -549,11 +604,12 @@ impl Network {
             let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
             // Store-and-forward over the route with per-link FIFO contention.
             let mut t = inject_at;
-            for (hop, slot) in slots.iter().enumerate() {
-                let link_occ = occ * self.slab.degrade[*slot] as Cycles;
-                let start = t.max(self.slab.free[*slot]);
-                self.slab.free[*slot] = start + link_occ;
-                self.slab.busy[*slot] += link_occ;
+            for (hop, &slot) in slots.iter().enumerate() {
+                let slot = slot as usize;
+                let link_occ = occ * self.slab.degrade[slot] as Cycles;
+                let start = t.max(self.slab.free[slot]);
+                self.slab.free[slot] = start + link_occ;
+                self.slab.busy[slot] += link_occ;
                 t = start + link_occ + self.link_latency;
                 if hop == 0 {
                     // The next packet can be injected once the first link
@@ -563,9 +619,7 @@ impl Network {
             }
             arrival = arrival.max(t);
         }
-        self.scratch_slots = slots;
-        self.scratch.replace(route);
-        Some(arrival)
+        arrival
     }
 
     /// Contention-free latency estimate for `words` from `from` to `to`
@@ -577,32 +631,37 @@ impl Network {
         if from == to {
             return words.div_ceil(self.words_per_cycle as Words).max(1);
         }
-        let mut path = self.scratch.take();
-        if self.route_into(from, to, &mut path).is_none() {
-            path = self.primary_route(from, to);
-        }
-        let mut remaining = words;
-        let mut first = true;
-        let mut inject_at = 0;
-        let mut arrival = 0;
-        while remaining > 0 || first {
-            first = false;
-            let chunk = remaining.min(self.max_packet_words);
-            remaining -= chunk;
-            let packet_words = chunk + self.header_words;
-            let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
-            let mut t = inject_at;
-            for (hop, link) in path.iter().enumerate() {
-                let link_occ = occ * self.slab.degrade_of(*link) as Cycles;
-                t += link_occ + self.link_latency;
-                if hop == 0 {
-                    inject_at += link_occ;
+        self.with_route(from, to, |route| {
+            let healthy;
+            let links = match route {
+                Some(r) => &r.links,
+                None => {
+                    healthy = link_ids(self.primary_route(from, to));
+                    &healthy
                 }
+            };
+            let mut remaining = words;
+            let mut first = true;
+            let mut inject_at = 0;
+            let mut arrival = 0;
+            while remaining > 0 || first {
+                first = false;
+                let chunk = remaining.min(self.max_packet_words);
+                remaining -= chunk;
+                let packet_words = chunk + self.header_words;
+                let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
+                let mut t = inject_at;
+                for (hop, &link) in links.iter().enumerate() {
+                    let link_occ = occ * self.slab.degrade_of(link as usize) as Cycles;
+                    t += link_occ + self.link_latency;
+                    if hop == 0 {
+                        inject_at += link_occ;
+                    }
+                }
+                arrival = arrival.max(t);
             }
-            arrival = arrival.max(t);
-        }
-        self.scratch.replace(path);
-        arrival
+            arrival
+        })
     }
 
     /// A lower bound on the delivery latency of *any* message from `from`
@@ -621,17 +680,14 @@ impl Network {
             // Local transfers cost at least one memory-pass cycle.
             return Some(1);
         }
-        let mut path = self.scratch.take();
-        if self.route_into(from, to, &mut path).is_none() {
-            self.scratch.replace(path);
-            return None;
-        }
-        let mut bound: Cycles = 0;
-        for &link in path.iter() {
-            bound += self.slab.degrade_of(link) as Cycles + self.link_latency;
-        }
-        self.scratch.replace(path);
-        Some(bound.max(1))
+        self.with_route(from, to, |route| {
+            let bound: Cycles = route?
+                .links
+                .iter()
+                .map(|&l| self.slab.degrade_of(l as usize) as Cycles + self.link_latency)
+                .sum();
+            Some(bound.max(1))
+        })
     }
 
     /// A machine-wide lower bound on remote delivery latency under a
@@ -1018,30 +1074,34 @@ mod tests {
     }
 
     /// Cached and uncached networks must produce bitwise-identical arrival
-    /// times and traffic counters over an arbitrary transmit sequence that
-    /// spans a link failure and its repair.
+    /// times, probes, traffic counters and link-record allocation over an
+    /// arbitrary transmit sequence that spans a link failure, a
+    /// degradation, and their repair — on the ring, a 2-D torus, and a fat
+    /// tree.
     #[test]
     fn cached_matches_uncached_across_fail_and_recovery() {
-        let run = |route_cache: bool| {
-            let mut c = cfg(Topology::Ring, 8);
+        let run = |topology: Topology, clusters: u32, route_cache: bool| {
+            let mut c = cfg(topology, clusters);
             c.route_cache = route_cache;
             let mut n = Network::new(&c);
             let mut log = Vec::new();
             let mut t = 0;
             for step in 0..200u64 {
-                if step == 60 {
-                    n.fail_link(0);
+                match step {
+                    60 => n.fail_link(0),
+                    100 => n.degrade_link(1, 3),
+                    140 => n.recover_link(0),
+                    170 => n.recover_link(1),
+                    _ => {}
                 }
-                if step == 140 {
-                    n.recover_link(0);
-                }
-                let from = (step * 3) % 8;
-                let to = (step * 5 + 1) % 8;
-                if let Some(arr) = n.try_transmit(t, from as u32, to as u32, 16 + step % 64) {
+                let from = ((step * 3) % u64::from(clusters)) as u32;
+                let to = ((step * 5 + 1) % u64::from(clusters)) as u32;
+                if let Some(arr) = n.try_transmit(t, from, to, 16 + step % 64) {
                     log.push(arr);
                     t = t.max(arr / 2);
                 }
-                log.push(n.estimate(to as u32, from as u32, 32));
+                log.push(n.estimate(to, from, 32));
+                log.push(n.min_delivery_latency(from, to).unwrap_or(0));
             }
             (
                 log,
@@ -1049,9 +1109,37 @@ mod tests {
                 n.packets,
                 n.rerouted_packets,
                 n.total_link_busy(),
+                n.max_link_busy(),
+                n.allocated_link_records(),
             )
         };
-        assert_eq!(run(true), run(false));
+        for (topology, clusters) in [
+            (Topology::Ring, 8),
+            (Topology::Torus { dims: vec![4, 4] }, 16),
+            (Topology::FatTree { radix: 4 }, 16),
+        ] {
+            assert_eq!(
+                run(topology.clone(), clusters, true),
+                run(topology.clone(), clusters, false),
+                "{topology:?}"
+            );
+        }
+    }
+
+    /// Probes read cached link ids but never resolve slots: only a
+    /// transmit allocates link records, once per route.
+    #[test]
+    fn route_probes_allocate_no_link_records() {
+        let mut n = Network::new(&torus(&[32, 32]));
+        let (from, to) = (0, 16 * 32 + 16);
+        n.estimate(from, to, 64);
+        assert_eq!(n.route_links(from, to).map(|r| r.len()), Some(32));
+        assert!(n.min_delivery_latency(from, to).is_some());
+        assert_eq!(n.allocated_link_records(), 0, "probes allocate nothing");
+        n.transmit(0, from, to, 64);
+        assert_eq!(n.allocated_link_records(), n.hops(from, to) as usize);
+        n.transmit(0, from, to, 64);
+        assert_eq!(n.allocated_link_records(), n.hops(from, to) as usize);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use fem2_core::scenario::{plate_cg, PlateScenario, ScenarioReport};
 use fem2_fem::Coo;
 use fem2_machine::fault::FaultPlan;
-use fem2_machine::{DesQueue, MachineConfig};
+use fem2_machine::{DesQueue, MachineConfig, Topology};
 use fem2_navm::NaVm;
 use fem2_trace::TraceHandle;
 use proptest::prelude::*;
@@ -44,6 +44,46 @@ fn route_cache_is_invisible_to_plate_scenario() {
     assert_eq!(cached.table, reference.table);
     assert!(!cached_bytes.is_empty(), "the traced run recorded nothing");
     assert_eq!(cached_bytes, reference_bytes, "trace streams diverged");
+}
+
+/// One traced 128-task plate run on a 1024-cluster machine with the route
+/// cache toggled: many-hop routes and thousands of cached pairs.
+fn plate_run_1024(topology: Topology, route_cache: bool) -> (ScenarioReport, Vec<u8>) {
+    let mut cfg = MachineConfig::clustered(1024, 2, topology);
+    cfg.route_cache = route_cache;
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    let mut scenario = PlateScenario::square(16, cfg);
+    scenario.tasks = 128;
+    let report = scenario.with_trace(handle).run_unchecked();
+    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
+    (report, bytes)
+}
+
+/// The cache's resolved link slots are invisible on large machines: the
+/// whole report (link-record allocation included) and every trace byte
+/// match the recompute path on the torus and the fat tree.
+fn assert_route_cache_invisible_1024(topology: Topology) {
+    let (cached, cached_bytes) = plate_run_1024(topology.clone(), true);
+    let (reference, reference_bytes) = plate_run_1024(topology, false);
+
+    assert_eq!(cached.residual.to_bits(), reference.residual.to_bits());
+    assert_eq!(cached.alloc_link_records, reference.alloc_link_records);
+    assert!(cached.alloc_link_records > 0, "the plate used no links");
+    // `ScenarioReport` has no `PartialEq`; its `Debug` form prints every
+    // field, and floats print round-trip exact.
+    assert_eq!(format!("{cached:?}"), format!("{reference:?}"));
+    assert!(!cached_bytes.is_empty(), "the traced run recorded nothing");
+    assert_eq!(cached_bytes, reference_bytes, "trace streams diverged");
+}
+
+#[test]
+fn route_cache_is_invisible_on_1024_cluster_torus() {
+    assert_route_cache_invisible_1024(Topology::Torus { dims: vec![32, 32] });
+}
+
+#[test]
+fn route_cache_is_invisible_on_1024_cluster_fat_tree() {
+    assert_route_cache_invisible_1024(Topology::FatTree { radix: 32 });
 }
 
 /// One traced CG solve on the simulated plane with a link dying mid-solve
