@@ -5,8 +5,8 @@
 //!
 //! * **E1 plate sweep** — the full simulated plane (DES, kernel, network,
 //!   windows) at n ∈ {8, 16, 32, 48}, with a traced 48×48 run supplying
-//!   events/sec and peak DES queue depth, plus a 64×64 shard sweep
-//!   (1/2/4/8 cluster shards) recording sequential-vs-sharded speedup;
+//!   events/sec and peak DES queue depth, plus the 64×64 plate and the
+//!   32×32 plate on a 1024-cluster torus, each run on its own;
 //! * **E5 network sweep** — the pattern × topology × size message mix on
 //!   the bare [`Network`] (route selection and link contention only);
 //! * **E7 kernel runs** — the traced fault-and-repair DES record plus the
@@ -40,25 +40,9 @@ use fem2_trace::TraceHandle;
 use serde_json::Value;
 use std::time::Instant;
 
-/// Schema identifier written into the JSON document.
-pub const SCHEMA: &str = "fem2-bench/7";
-/// The previous schema (no per-record `alloc_links` / `alloc_clusters` /
-/// `saturation_clusters`); still accepted by [`validate_json`] so stored
-/// baselines keep validating.
-pub const SCHEMA_V6: &str = "fem2-bench/6";
-/// Two revisions back (additionally no per-record `shards` / `speedup`).
-pub const SCHEMA_V5: &str = "fem2-bench/5";
-/// Three revisions back (additionally no per-record `predicted_events` /
-/// `predicted_cycles` / `tightness`).
-pub const SCHEMA_V4: &str = "fem2-bench/4";
-/// Four revisions back (additionally no per-record `run_status`).
-pub const SCHEMA_V3: &str = "fem2-bench/3";
-/// Five revisions back (additionally no `commit`, `plan_hash`, or
-/// `params` provenance fields); also still accepted.
-pub const SCHEMA_V2: &str = "fem2-bench/2";
-/// The original schema (additionally lacks `repeat` and
-/// `wall_ns_median`); also still accepted.
-pub const SCHEMA_V1: &str = "fem2-bench/1";
+/// Schema identifier written into the JSON document; [`validate_json`]
+/// accepts only this one.
+pub const SCHEMA: &str = "fem2-bench/8";
 
 /// Ring capacity for the traced E1 run; metrics are exact regardless of
 /// retention, so a modest ring keeps the traced run cheap.
@@ -82,10 +66,6 @@ pub struct BenchOptions {
     pub budget_cycles: Option<u64>,
     /// DES-event budget for the E1 plate runs (`--budget-events N`).
     pub budget_events: Option<u64>,
-    /// Cluster shards the simulated-plane records run with
-    /// (`--shards N`; `MachineConfig::des_shards`). One shard is the
-    /// sequential reference engine.
-    pub shards: u32,
 }
 
 impl Default for BenchOptions {
@@ -96,7 +76,6 @@ impl Default for BenchOptions {
             repeat: 1,
             budget_cycles: None,
             budget_events: None,
-            shards: 1,
         }
     }
 }
@@ -146,13 +125,6 @@ pub struct BenchRecord {
     /// Bound tightness, `predicted_cycles / sim_cycles` (≥ 1 when the
     /// bound is sound; 0.0 when unmodeled or the run did not complete).
     pub tightness: f64,
-    /// Cluster shards the record ran with (schema v6; 1 = sequential
-    /// engine, also recorded for records sharding cannot touch).
-    pub shards: u32,
-    /// Sequential-vs-sharded wall speedup (schema v6): best sequential
-    /// wall over this record's wall, for shard-sweep records; 0.0 when
-    /// not applicable.
-    pub speedup: f64,
     /// Link records the sparse network slab materialized during the run
     /// (schema v7) — the peak-RSS proxy for network state. 0 for records
     /// that do not observe the machine (native solvers, bare-network
@@ -183,8 +155,6 @@ impl BenchRecord {
             predicted_events: 0,
             predicted_cycles: 0,
             tightness: 0.0,
-            shards: 1,
-            speedup: 0.0,
             alloc_links: 0,
             alloc_clusters: 0,
             saturation_clusters: 0,
@@ -235,8 +205,6 @@ impl BenchRecord {
                 Value::UInt(self.predicted_cycles),
             ),
             ("tightness".into(), Value::Float(self.tightness)),
-            ("shards".into(), Value::UInt(u64::from(self.shards))),
-            ("speedup".into(), Value::Float(self.speedup)),
             ("alloc_links".into(), Value::UInt(self.alloc_links)),
             ("alloc_clusters".into(), Value::UInt(self.alloc_clusters)),
             (
@@ -321,7 +289,6 @@ fn e1_config(opts: BenchOptions) -> MachineConfig {
     let mut cfg = MachineConfig::fem2_default();
     cfg.route_cache = opts.route_cache;
     cfg.des_queue = opts.des_queue;
-    cfg.des_shards = opts.shards;
     cfg
 }
 
@@ -332,14 +299,7 @@ fn e1_records(records: &mut Vec<BenchRecord>, opts: BenchOptions, pool: &Pool) {
     let sized = par_sweep(pool, vec![8usize, 16, 32, 48], |n| {
         let scenario = PlateScenario::square(n, e1_config(opts)).with_budget(opts.budget());
         let cost = fem2_core::verify::scenario_cost(&scenario);
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        let mut r =
-            BenchRecord::untraced(format!("e1_plate_{n}"), wall, cycles).with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = opts.shards;
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        r.with_prediction(&cost)
+        plate_record(format!("e1_plate_{n}"), &scenario).with_prediction(&cost)
     });
     records.extend(sized);
     // The traced run: same workload, plus observation.
@@ -365,8 +325,6 @@ fn e1_records(records: &mut Vec<BenchRecord>, opts: BenchOptions, pool: &Pool) {
             predicted_events: 0,
             predicted_cycles: 0,
             tightness: 0.0,
-            shards: opts.shards,
-            speedup: 0.0,
             alloc_links: links,
             alloc_clusters: clusters,
             saturation_clusters: 0,
@@ -392,40 +350,24 @@ fn budgeted(scenario: &PlateScenario) -> (u64, u64, &'static str, u64, u64) {
     }
 }
 
-/// Grid size of the shard-sweep plate — the largest E1 plate in the suite.
-/// Big enough that host math and per-shard charging dominate over epoch
-/// synchronization, so the sweep measures the sharded engine's scaling.
-const SHARD_SWEEP_N: usize = 64;
+/// Run an untraced plate scenario into a record named `name`.
+fn plate_record(name: String, scenario: &PlateScenario) -> BenchRecord {
+    let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(scenario));
+    let mut r = BenchRecord::untraced(name, wall, cycles).with_engine_events(events);
+    r.run_status = status.into();
+    r.alloc_links = links;
+    r.alloc_clusters = clusters;
+    r
+}
 
-/// The shard sweep: the largest E1 plate run at 1, 2, 4, and 8 shards,
-/// sequentially (each run owns the host pool), recording engine events,
-/// events/sec, and the sequential-vs-sharded wall speedup per record. The
-/// simulated outcome is bitwise-identical across the sweep — only wall
-/// time may move — and the speedup is recomputed from merged best walls
-/// after `--repeat` runs.
-fn e1_shard_sweep(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
-    let mut seq_wall = 0u64;
-    for shards in [1u32, 2, 4, 8] {
-        let sweep_opts = BenchOptions { shards, ..opts };
-        let scenario =
-            PlateScenario::square(SHARD_SWEEP_N, e1_config(sweep_opts)).with_budget(opts.budget());
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        if shards == 1 {
-            seq_wall = wall;
-        }
-        let mut r = BenchRecord::untraced(
-            format!("e1_plate_{SHARD_SWEEP_N}_shards_{shards}"),
-            wall,
-            cycles,
-        )
-        .with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = shards;
-        r.speedup = seq_wall as f64 / (wall as f64).max(1.0);
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        records.push(r);
-    }
+/// Grid size of the largest E1 plate. It runs outside the pooled size
+/// sweep, so its wall time has the host to itself.
+const LARGE_E1_N: usize = 64;
+
+/// E1 at [`LARGE_E1_N`]: the largest plate on the default machine.
+fn e1_large_record(opts: BenchOptions) -> BenchRecord {
+    let scenario = PlateScenario::square(LARGE_E1_N, e1_config(opts)).with_budget(opts.budget());
+    plate_record(format!("e1_plate_{LARGE_E1_N}"), &scenario)
 }
 
 /// Grid size of the large-machine E1 plate: the fixed plate workload on a
@@ -442,37 +384,21 @@ const TORUS_E1_CLUSTERS: u32 = 1024;
 /// never dispatch work and must never materialize PE records.
 const TORUS_E1_TASKS: u32 = 128;
 
-/// The large-machine E1 rows: the fixed plate at 1 and 4 shards on a
-/// 1024-cluster 32×32 torus. Simulated results are bitwise-identical
-/// across the pair; `refresh_speedups` pairs the rows by name.
-fn e1_torus_sweep(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
-    let mut seq_wall = 0u64;
-    for shards in [1u32, 4] {
-        let side = (TORUS_E1_CLUSTERS as f64).sqrt() as u32;
-        let mut cfg = e1_config(BenchOptions { shards, ..opts });
-        cfg.clusters = TORUS_E1_CLUSTERS;
-        cfg.topology = Topology::Torus {
-            dims: vec![side, side],
-        };
-        let mut scenario = PlateScenario::square(TORUS_E1_N, cfg).with_budget(opts.budget());
-        scenario.tasks = TORUS_E1_TASKS;
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        if shards == 1 {
-            seq_wall = wall;
-        }
-        let mut r = BenchRecord::untraced(
-            format!("e1_plate_{TORUS_E1_N}_torus{TORUS_E1_CLUSTERS}_shards_{shards}"),
-            wall,
-            cycles,
-        )
-        .with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = shards;
-        r.speedup = seq_wall as f64 / (wall as f64).max(1.0);
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        records.push(r);
-    }
+/// The large-machine E1 row: the fixed plate on a 1024-cluster 32×32
+/// torus.
+fn e1_torus_record(opts: BenchOptions) -> BenchRecord {
+    let side = (TORUS_E1_CLUSTERS as f64).sqrt() as u32;
+    let mut cfg = e1_config(opts);
+    cfg.clusters = TORUS_E1_CLUSTERS;
+    cfg.topology = Topology::Torus {
+        dims: vec![side, side],
+    };
+    let mut scenario = PlateScenario::square(TORUS_E1_N, cfg).with_budget(opts.budget());
+    scenario.tasks = TORUS_E1_TASKS;
+    plate_record(
+        format!("e1_plate_{TORUS_E1_N}_torus{TORUS_E1_CLUSTERS}"),
+        &scenario,
+    )
 }
 
 /// Cluster counts of the weak-scaling sweep: fixed work per cluster from
@@ -644,8 +570,6 @@ fn e7_record(opts: BenchOptions) -> BenchRecord {
         predicted_events: 0,
         predicted_cycles: 0,
         tightness: 0.0,
-        shards: 1,
-        speedup: 0.0,
         alloc_links: 0,
         alloc_clusters: 0,
         saturation_clusters: 0,
@@ -688,32 +612,12 @@ fn e9_records(records: &mut Vec<BenchRecord>) {
     records.push(BenchRecord::untraced("e9_skyline_32", wall, 0));
 }
 
-/// Recompute the shard-sweep speedups from (possibly repeat-merged) best
-/// walls: each `*_shards_N` record's speedup is the matching `*_shards_1`
-/// wall over its own.
-fn refresh_speedups(mut records: Vec<BenchRecord>) -> Vec<BenchRecord> {
-    let bases: Vec<(String, u64)> = records
-        .iter()
-        .filter(|r| r.name.ends_with("_shards_1"))
-        .map(|r| (r.name.trim_end_matches('1').to_string(), r.wall_ns))
-        .collect();
-    for r in &mut records {
-        if let Some((_, seq_wall)) = bases
-            .iter()
-            .find(|(prefix, _)| r.name.starts_with(prefix.as_str()))
-        {
-            r.speedup = *seq_wall as f64 / (r.wall_ns as f64).max(1.0);
-        }
-    }
-    records
-}
-
 /// One pass over the fixed mix.
 fn run_mix(opts: BenchOptions, pool: &Pool) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     e1_records(&mut records, opts, pool);
-    e1_shard_sweep(&mut records, opts);
-    e1_torus_sweep(&mut records, opts);
+    records.push(e1_large_record(opts));
+    records.push(e1_torus_record(opts));
     ws_records(&mut records, opts);
     records.push(e5_record(opts, pool));
     records.push(e7_record(opts));
@@ -765,7 +669,6 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
             merged
         })
         .collect();
-    let records = refresh_speedups(records);
     let mut machine = MachineConfig::fem2_default().describe();
     if !opts.route_cache {
         machine.push_str(" [route cache off]");
@@ -773,12 +676,9 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
     if opts.des_queue == DesQueue::Heap {
         machine.push_str(" [des queue heap]");
     }
-    if opts.shards > 1 {
-        machine.push_str(&format!(" [des shards {}]", opts.shards));
-    }
     let plan = e1_config(opts);
     let mut params = format!(
-        "route_cache={} des_queue={} repeat={} threads={} shards={}",
+        "route_cache={} des_queue={} repeat={} threads={}",
         if opts.route_cache { "on" } else { "off" },
         match opts.des_queue {
             DesQueue::Calendar => "calendar",
@@ -786,7 +686,6 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
         },
         repeat,
         pool.threads(),
-        opts.shards,
     );
     if let Some(c) = opts.budget_cycles {
         params.push_str(&format!(" budget_cycles={c}"));
@@ -805,7 +704,7 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
 }
 
 impl BenchSuite {
-    /// Serialize as the `fem2-bench/7` JSON document.
+    /// Serialize as the `fem2-bench/8` JSON document.
     pub fn to_json(&self) -> String {
         let doc = Value::Obj(vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
@@ -853,58 +752,45 @@ impl BenchSuite {
     }
 }
 
-/// Validate a `BENCH_fem2.json` document. Accepts the current
-/// `fem2-bench/7` schema plus the previous six: `fem2-bench/6` lacks the
-/// per-record `alloc_links`/`alloc_clusters`/`saturation_clusters`,
-/// `fem2-bench/5` additionally lacks `shards`/`speedup`, `fem2-bench/4`
-/// additionally lacks `predicted_events`/`predicted_cycles`/`tightness`,
-/// `fem2-bench/3` additionally lacks the per-record `run_status`,
-/// `fem2-bench/2` additionally lacks the `commit`/`plan_hash`/`params`
-/// provenance fields, and `fem2-bench/1` additionally lacks the suite
-/// `repeat` and per-record `wall_ns_median`. Returns the number of
-/// validated records.
+/// Check that `v` holds a non-negative integer.
+fn check_uint(v: &Value, what: &str) -> Result<(), String> {
+    match v {
+        Value::UInt(_) => Ok(()),
+        Value::Int(n) if *n >= 0 => Ok(()),
+        other => Err(format!(
+            "{what} must be a non-negative integer, found {}",
+            other.kind()
+        )),
+    }
+}
+
+/// Validate a `BENCH_fem2.json` document against the current [`SCHEMA`]
+/// (older revisions are rejected). Returns the number of validated
+/// records.
 pub fn validate_json(text: &str) -> Result<usize, String> {
     let doc: Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let schema = doc.get_field("schema").map_err(|e| e.to_string())?;
-    let version = match schema {
-        Value::Str(s) if s == SCHEMA => 7,
-        Value::Str(s) if s == SCHEMA_V6 => 6,
-        Value::Str(s) if s == SCHEMA_V5 => 5,
-        Value::Str(s) if s == SCHEMA_V4 => 4,
-        Value::Str(s) if s == SCHEMA_V3 => 3,
-        Value::Str(s) if s == SCHEMA_V2 => 2,
-        Value::Str(s) if s == SCHEMA_V1 => 1,
-        other => {
-            return Err(format!(
-                "schema must be one of \"{SCHEMA}\", \"{SCHEMA_V6}\", \"{SCHEMA_V5}\", \
-                 \"{SCHEMA_V4}\", \"{SCHEMA_V3}\", \"{SCHEMA_V2}\", or \"{SCHEMA_V1}\", \
-                 found {other:?}"
-            ))
-        }
-    };
-    let v2 = version >= 2;
+    match doc.get_field("schema").map_err(|e| e.to_string())? {
+        Value::Str(s) if s == SCHEMA => {}
+        other => return Err(format!("schema must be \"{SCHEMA}\", found {other:?}")),
+    }
     match doc.get_field("machine").map_err(|e| e.to_string())? {
         Value::Str(_) => {}
         other => return Err(format!("machine must be a string, found {}", other.kind())),
     }
-    if version >= 3 {
-        for field in ["commit", "plan_hash", "params"] {
-            match doc.get_field(field).map_err(|e| e.to_string())? {
-                Value::Str(s) if !s.is_empty() => {}
-                _ => return Err(format!("{field} must be a non-empty string")),
-            }
+    for field in ["commit", "plan_hash", "params"] {
+        match doc.get_field(field).map_err(|e| e.to_string())? {
+            Value::Str(s) if !s.is_empty() => {}
+            _ => return Err(format!("{field} must be a non-empty string")),
         }
     }
-    if v2 {
-        match doc.get_field("repeat").map_err(|e| e.to_string())? {
-            Value::UInt(n) if *n >= 1 => {}
-            Value::Int(n) if *n >= 1 => {}
-            other => {
-                return Err(format!(
-                    "repeat must be a positive integer, found {}",
-                    other.kind()
-                ))
-            }
+    match doc.get_field("repeat").map_err(|e| e.to_string())? {
+        Value::UInt(n) if *n >= 1 => {}
+        Value::Int(n) if *n >= 1 => {}
+        other => {
+            return Err(format!(
+                "repeat must be a positive integer, found {}",
+                other.kind()
+            ))
         }
     }
     let results = match doc.get_field("results").map_err(|e| e.to_string())? {
@@ -914,129 +800,44 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
     if results.is_empty() {
         return Err("results array is empty".into());
     }
-    let mut required = vec![
-        "wall_ns",
-        "sim_cycles",
-        "events",
-        "events_per_sec",
-        "peak_queue_depth",
-    ];
-    if v2 {
-        required.push("wall_ns_median");
-    }
     for (i, rec) in results.iter().enumerate() {
-        match rec
-            .get_field("name")
-            .map_err(|e| format!("record {i}: {e}"))?
-        {
+        let get = |field: &str| rec.get_field(field).map_err(|e| format!("record {i}: {e}"));
+        match get("name")? {
             Value::Str(s) if !s.is_empty() => {}
             _ => return Err(format!("record {i}: name must be a non-empty string")),
         }
-        for field in &required {
-            match rec
-                .get_field(field)
-                .map_err(|e| format!("record {i}: {e}"))?
-            {
-                Value::UInt(_) => {}
-                Value::Int(v) if *v >= 0 => {}
-                other => {
-                    return Err(format!(
-                        "record {i}: {field} must be a non-negative integer, found {}",
-                        other.kind()
-                    ))
-                }
+        for field in [
+            "wall_ns",
+            "wall_ns_median",
+            "sim_cycles",
+            "events",
+            "events_per_sec",
+            "peak_queue_depth",
+        ] {
+            check_uint(get(field)?, &format!("record {i}: {field}"))?;
+        }
+        match get("run_status")? {
+            Value::Str(s) if matches!(s.as_str(), "ok" | "failed" | "aborted") => {}
+            other => {
+                return Err(format!(
+                    "record {i}: run_status must be \"ok\", \"failed\", or \"aborted\", \
+                     found {other:?}"
+                ))
             }
         }
-        if version >= 4 {
-            match rec
-                .get_field("run_status")
-                .map_err(|e| format!("record {i}: {e}"))?
-            {
-                Value::Str(s) if matches!(s.as_str(), "ok" | "failed" | "aborted") => {}
-                other => {
-                    return Err(format!(
-                        "record {i}: run_status must be \"ok\", \"failed\", or \"aborted\", \
-                         found {other:?}"
-                    ))
-                }
-            }
+        for field in ["predicted_events", "predicted_cycles"] {
+            check_uint(get(field)?, &format!("record {i}: {field}"))?;
         }
-        if version >= 5 {
-            for field in ["predicted_events", "predicted_cycles"] {
-                match rec
-                    .get_field(field)
-                    .map_err(|e| format!("record {i}: {e}"))?
-                {
-                    Value::UInt(_) => {}
-                    Value::Int(v) if *v >= 0 => {}
-                    other => {
-                        return Err(format!(
-                            "record {i}: {field} must be a non-negative integer, found {}",
-                            other.kind()
-                        ))
-                    }
-                }
-            }
-            match rec
-                .get_field("tightness")
-                .map_err(|e| format!("record {i}: {e}"))?
-            {
-                Value::Float(f) if *f >= 0.0 => {}
-                Value::UInt(_) => {}
-                Value::Int(v) if *v >= 0 => {}
-                other => {
-                    return Err(format!(
-                        "record {i}: tightness must be a non-negative number, found {}",
-                        other.kind()
-                    ))
-                }
-            }
+        let tightness = get("tightness")?;
+        if !matches!(tightness, Value::Float(f) if *f >= 0.0) && check_uint(tightness, "").is_err()
+        {
+            return Err(format!(
+                "record {i}: tightness must be a non-negative number, found {}",
+                tightness.kind()
+            ));
         }
-        if version >= 6 {
-            match rec
-                .get_field("shards")
-                .map_err(|e| format!("record {i}: {e}"))?
-            {
-                Value::UInt(v) if *v > 0 => {}
-                Value::Int(v) if *v > 0 => {}
-                other => {
-                    return Err(format!(
-                        "record {i}: shards must be a positive integer, found {}",
-                        other.kind()
-                    ))
-                }
-            }
-            match rec
-                .get_field("speedup")
-                .map_err(|e| format!("record {i}: {e}"))?
-            {
-                Value::Float(f) if *f >= 0.0 => {}
-                Value::UInt(_) => {}
-                Value::Int(v) if *v >= 0 => {}
-                other => {
-                    return Err(format!(
-                        "record {i}: speedup must be a non-negative number, found {}",
-                        other.kind()
-                    ))
-                }
-            }
-        }
-        if version >= 7 {
-            for field in ["alloc_links", "alloc_clusters", "saturation_clusters"] {
-                match rec
-                    .get_field(field)
-                    .map_err(|e| format!("record {i}: {e}"))?
-                {
-                    Value::UInt(_) => {}
-                    Value::Int(v) if *v >= 0 => {}
-                    other => {
-                        return Err(format!(
-                            "record {i}: {field} must be a non-negative integer, found {}",
-                            other.kind()
-                        ))
-                    }
-                }
-            }
+        for field in ["alloc_links", "alloc_clusters", "saturation_clusters"] {
+            check_uint(get(field)?, &format!("record {i}: {field}"))?;
         }
     }
     Ok(results.len())
@@ -1069,8 +870,6 @@ mod tests {
                     predicted_events: 12,
                     predicted_cycles: 9,
                     tightness: 9.0 / 7.0,
-                    shards: 4,
-                    speedup: 2.5,
                     alloc_links: 12,
                     alloc_clusters: 4,
                     saturation_clusters: 0,
@@ -1085,155 +884,73 @@ mod tests {
         assert_eq!(validate_json(&json), Ok(2));
     }
 
+    /// A valid current-schema record, one `"field":value` pair per comma.
+    const RECORD: &str = r#""name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,"events_per_sec":0,"peak_queue_depth":0,"run_status":"ok","predicted_events":3,"predicted_cycles":3,"tightness":1.5,"alloc_links":4,"alloc_clusters":2,"saturation_clusters":0"#;
+
+    /// A one-record current-schema document around `record`.
+    fn doc(record: &str) -> String {
+        format!(
+            r#"{{"schema":"{SCHEMA}","machine":"m","commit":"c","plan_hash":"p",
+                "params":"x","repeat":1,"results":[{{{record}}}]}}"#
+        )
+    }
+
+    /// [`RECORD`] with `field` removed (`value` None) or set to `value`.
+    fn record_with(field: &str, value: Option<&str>) -> String {
+        let key = format!("\"{field}\":");
+        RECORD
+            .split(',')
+            .filter_map(|pair| match (pair.starts_with(&key), value) {
+                (false, _) => Some(pair.to_string()),
+                (true, None) => None,
+                (true, Some(v)) => Some(format!("{key}{v}")),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
     #[test]
-    fn validation_accepts_the_previous_schemas() {
-        let v1 = format!(
-            r#"{{"schema":"{SCHEMA_V1}","machine":"m","results":[
-                {{"name":"x","wall_ns":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0}}]}}"#
-        );
-        assert_eq!(validate_json(&v1), Ok(1));
-        // v2: has repeat + median, no provenance fields.
-        let v2 = format!(
-            r#"{{"schema":"{SCHEMA_V2}","machine":"m","repeat":1,"results":[
-                {{"name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0}}]}}"#
-        );
-        assert_eq!(validate_json(&v2), Ok(1));
-        // v3: full provenance, no per-record run_status.
-        let v3 = format!(
-            r#"{{"schema":"{SCHEMA_V3}","machine":"m","commit":"c","plan_hash":"p",
-                "params":"x","repeat":1,"results":[
-                {{"name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0}}]}}"#
-        );
-        assert_eq!(validate_json(&v3), Ok(1));
-        // v4: run_status, no prediction fields.
-        let v4 = format!(
-            r#"{{"schema":"{SCHEMA_V4}","machine":"m","commit":"c","plan_hash":"p",
-                "params":"x","repeat":1,"results":[
-                {{"name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0,"run_status":"ok"}}]}}"#
-        );
-        assert_eq!(validate_json(&v4), Ok(1));
-        // v5: prediction fields, no shard fields.
-        let v5 = format!(
-            r#"{{"schema":"{SCHEMA_V5}","machine":"m","commit":"c","plan_hash":"p",
-                "params":"x","repeat":1,"results":[
-                {{"name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0,"run_status":"ok",
-                  "predicted_events":3,"predicted_cycles":3,"tightness":1.5}}]}}"#
-        );
-        assert_eq!(validate_json(&v5), Ok(1));
-        // v6: shard fields, no allocation fields.
-        let v6 = format!(
-            r#"{{"schema":"{SCHEMA_V6}","machine":"m","commit":"c","plan_hash":"p",
-                "params":"x","repeat":1,"results":[
-                {{"name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,"events":0,
-                  "events_per_sec":0,"peak_queue_depth":0,"run_status":"ok",
-                  "predicted_events":3,"predicted_cycles":3,"tightness":1.5,
-                  "shards":2,"speedup":1.8}}]}}"#
-        );
-        assert_eq!(validate_json(&v6), Ok(1));
+    fn validation_rejects_previous_schemas() {
+        assert_eq!(validate_json(&doc(RECORD)), Ok(1));
+        for version in 1..=7 {
+            let old = doc(RECORD).replace(SCHEMA, &format!("fem2-bench/{version}"));
+            let err = validate_json(&old).unwrap_err();
+            assert!(err.contains(SCHEMA), "{err}");
+        }
     }
 
     #[test]
     fn v4_requires_run_status() {
-        let head = format!(
-            r#""schema":"{SCHEMA_V4}","machine":"m","commit":"c","plan_hash":"p",
-               "params":"x","repeat":1"#
-        );
-        let record = r#""name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,
-                        "events":0,"events_per_sec":0,"peak_queue_depth":0"#;
-        let missing = format!(r#"{{{head},"results":[{{{record}}}]}}"#);
+        let missing = doc(&record_with("run_status", None));
         assert!(validate_json(&missing).unwrap_err().contains("run_status"));
-        let bad = format!(r#"{{{head},"results":[{{{record},"run_status":"meh"}}]}}"#);
+        let bad = doc(&record_with("run_status", Some(r#""meh""#)));
         assert!(validate_json(&bad).unwrap_err().contains("run_status"));
-        let aborted = format!(r#"{{{head},"results":[{{{record},"run_status":"aborted"}}]}}"#);
+        let aborted = doc(&record_with("run_status", Some(r#""aborted""#)));
         assert_eq!(validate_json(&aborted), Ok(1));
     }
 
     #[test]
     fn v5_requires_prediction_fields() {
-        let head = format!(
-            r#""schema":"{SCHEMA_V5}","machine":"m","commit":"c","plan_hash":"p",
-               "params":"x","repeat":1"#
-        );
-        let record = r#""name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,
-                        "events":0,"events_per_sec":0,"peak_queue_depth":0,
-                        "run_status":"ok""#;
-        let missing = format!(r#"{{{head},"results":[{{{record}}}]}}"#);
-        assert!(validate_json(&missing)
-            .unwrap_err()
-            .contains("predicted_events"));
-        let no_tightness = format!(
-            r#"{{{head},"results":[{{{record},"predicted_events":3,"predicted_cycles":3}}]}}"#
-        );
-        assert!(validate_json(&no_tightness)
-            .unwrap_err()
-            .contains("tightness"));
-        let bad = format!(
-            r#"{{{head},"results":[{{{record},"predicted_events":3,"predicted_cycles":3,
-                "tightness":"big"}}]}}"#
-        );
+        for field in ["predicted_events", "predicted_cycles", "tightness"] {
+            let missing = doc(&record_with(field, None));
+            assert!(validate_json(&missing).unwrap_err().contains(field));
+        }
+        let bad = doc(&record_with("tightness", Some(r#""big""#)));
         assert!(validate_json(&bad).unwrap_err().contains("tightness"));
-        let full = format!(
-            r#"{{{head},"results":[{{{record},"predicted_events":3,"predicted_cycles":3,
-                "tightness":1.5}}]}}"#
-        );
-        assert_eq!(validate_json(&full), Ok(1));
-    }
-
-    #[test]
-    fn v6_requires_shard_fields() {
-        let head = format!(
-            r#""schema":"{SCHEMA_V6}","machine":"m","commit":"c","plan_hash":"p",
-               "params":"x","repeat":1"#
-        );
-        let record = r#""name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,
-                        "events":0,"events_per_sec":0,"peak_queue_depth":0,
-                        "run_status":"ok","predicted_events":3,"predicted_cycles":3,
-                        "tightness":1.5"#;
-        let missing = format!(r#"{{{head},"results":[{{{record}}}]}}"#);
-        assert!(validate_json(&missing).unwrap_err().contains("shards"));
-        let zero = format!(r#"{{{head},"results":[{{{record},"shards":0,"speedup":1.0}}]}}"#);
-        assert!(validate_json(&zero).unwrap_err().contains("shards"));
-        let no_speedup = format!(r#"{{{head},"results":[{{{record},"shards":2}}]}}"#);
-        assert!(validate_json(&no_speedup).unwrap_err().contains("speedup"));
-        let bad = format!(r#"{{{head},"results":[{{{record},"shards":2,"speedup":"fast"}}]}}"#);
-        assert!(validate_json(&bad).unwrap_err().contains("speedup"));
-        let full = format!(r#"{{{head},"results":[{{{record},"shards":2,"speedup":1.8}}]}}"#);
-        assert_eq!(validate_json(&full), Ok(1));
+        let whole = doc(&record_with("tightness", Some("2")));
+        assert_eq!(validate_json(&whole), Ok(1));
     }
 
     #[test]
     fn v7_requires_allocation_fields() {
-        let head = format!(
-            r#""schema":"{SCHEMA}","machine":"m","commit":"c","plan_hash":"p",
-               "params":"x","repeat":1"#
-        );
-        let record = r#""name":"x","wall_ns":1,"wall_ns_median":1,"sim_cycles":2,
-                        "events":0,"events_per_sec":0,"peak_queue_depth":0,
-                        "run_status":"ok","predicted_events":3,"predicted_cycles":3,
-                        "tightness":1.5,"shards":2,"speedup":1.8"#;
-        let missing = format!(r#"{{{head},"results":[{{{record}}}]}}"#);
-        assert!(validate_json(&missing).unwrap_err().contains("alloc_links"));
-        let partial = format!(r#"{{{head},"results":[{{{record},"alloc_links":4}}]}}"#);
-        assert!(validate_json(&partial)
-            .unwrap_err()
-            .contains("alloc_clusters"));
-        let bad = format!(
-            r#"{{{head},"results":[{{{record},"alloc_links":4,"alloc_clusters":2,
-                "saturation_clusters":"never"}}]}}"#
-        );
+        for field in ["alloc_links", "alloc_clusters", "saturation_clusters"] {
+            let missing = doc(&record_with(field, None));
+            assert!(validate_json(&missing).unwrap_err().contains(field));
+        }
+        let bad = doc(&record_with("saturation_clusters", Some(r#""never""#)));
         assert!(validate_json(&bad)
             .unwrap_err()
             .contains("saturation_clusters"));
-        let full = format!(
-            r#"{{{head},"results":[{{{record},"alloc_links":4,"alloc_clusters":2,
-                "saturation_clusters":0}}]}}"#
-        );
-        assert_eq!(validate_json(&full), Ok(1));
     }
 
     #[test]
@@ -1289,48 +1006,25 @@ mod tests {
     }
 
     #[test]
-    fn torus_e1_rows_are_shard_invariant_and_o_active() {
-        let mut records = Vec::new();
-        e1_torus_sweep(&mut records, BenchOptions::default());
-        assert_eq!(records.len(), 2);
-        let (s1, s4) = (&records[0], &records[1]);
-        assert_eq!(s1.name, "e1_plate_32_torus1024_shards_1");
-        assert_eq!(s4.name, "e1_plate_32_torus1024_shards_4");
-        assert_eq!(s1.sim_cycles, s4.sim_cycles, "bitwise across shards");
-        assert_eq!(s1.events, s4.events);
-        assert_eq!(s1.alloc_links, s4.alloc_links);
-        assert_eq!(s1.alloc_clusters, s4.alloc_clusters);
-        assert_eq!(s1.run_status, "ok");
+    fn torus_e1_row_is_o_active() {
+        let r = e1_torus_record(BenchOptions::default());
+        assert_eq!(r.name, "e1_plate_32_torus1024");
+        assert_eq!(r.run_status, "ok");
+        assert!(r.sim_cycles > 0 && r.events > 0);
         let n = u64::from(TORUS_E1_CLUSTERS);
         assert!(
-            s1.alloc_links < 4 * n,
+            r.alloc_links < 4 * n,
             "{} link records on a {} cluster torus is not O(active)",
-            s1.alloc_links,
+            r.alloc_links,
             n
         );
         assert!(
-            s1.alloc_clusters < n / 2,
+            r.alloc_clusters < n / 2,
             "{} cluster records: a {}-task plate must not touch most of the \
              {n}-cluster machine",
-            s1.alloc_clusters,
+            r.alloc_clusters,
             TORUS_E1_TASKS
         );
-    }
-
-    #[test]
-    fn refresh_speedups_ignores_weak_scaling_records() {
-        let mut records = vec![
-            BenchRecord::untraced("e1_plate_64_shards_1", 1_000, 5),
-            BenchRecord::untraced("e1_plate_64_shards_4", 500, 5),
-            BenchRecord::untraced("ws_torus_1024", 700, 9),
-            BenchRecord::untraced("ws_fattree_4096", 900, 9),
-        ];
-        records[2].saturation_clusters = 2048;
-        let out = refresh_speedups(records);
-        assert_eq!(out[1].speedup, 2.0, "shard rows keep pairing");
-        assert_eq!(out[2].speedup, 0.0, "weak-scaling rows have no base");
-        assert_eq!(out[3].speedup, 0.0);
-        assert_eq!(out[2].saturation_clusters, 2048, "fields pass through");
     }
 
     #[test]
@@ -1447,7 +1141,10 @@ mod tests {
             .unwrap_err()
             .contains("wall_ns_median"));
         // v2+ requires the suite-level repeat.
-        let no_repeat = format!(r#"{{"schema":"{SCHEMA_V2}","machine":"m","results":[]}}"#);
+        let no_repeat = format!(
+            r#"{{"schema":"{SCHEMA}","machine":"m","commit":"c","plan_hash":"p",
+                "params":"x","results":[]}}"#
+        );
         assert!(validate_json(&no_repeat).unwrap_err().contains("repeat"));
     }
 

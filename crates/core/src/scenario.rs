@@ -232,16 +232,8 @@ impl PlateScenario {
 
         let machine = vm.machine().expect("simulated plane");
         let stats = &machine.stats;
-        let phases: Vec<(String, PhaseCounters)> = stats
-            .phase_names()
-            .iter()
-            .map(|n| {
-                (
-                    n.clone(),
-                    *stats.get(n).expect("phase_names lists existing phases"),
-                )
-            })
-            .collect();
+        let phases: Vec<(String, PhaseCounters)> =
+            stats.phases().map(|(n, c)| (n.to_string(), *c)).collect();
         let total = stats.total();
         Ok(ScenarioReport {
             elapsed: vm.elapsed(),

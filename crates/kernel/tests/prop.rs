@@ -15,21 +15,6 @@ fn sim(clusters: u32, pes: u32) -> KernelSim {
     )))
 }
 
-/// Topologies for the 8-cluster shard-identity matrix, including the
-/// multi-hop torus and fat-tree networks.
-fn topo_strategy() -> impl Strategy<Value = Topology> {
-    prop_oneof![
-        Just(Topology::Crossbar),
-        Just(Topology::Ring),
-        Just(Topology::Torus { dims: vec![2, 4] }),
-        Just(Topology::Torus {
-            dims: vec![2, 2, 2],
-        }),
-        Just(Topology::FatTree { radix: 2 }),
-        Just(Topology::FatTree { radix: 4 }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -117,42 +102,6 @@ proptest! {
         prop_assert!(all_f, "all tasks complete despite faults");
         prop_assert_eq!(done_f as u32, reps);
         prop_assert!(faulted >= healthy, "faults cannot speed the batch up");
-    }
-
-    /// The sharded kernel is bitwise-identical to the sequential engine on
-    /// every topology — including the torus and fat-tree networks — at
-    /// several shard counts: same makespan, completion stream, machine
-    /// statistics, and event count.
-    #[test]
-    fn sharded_kernel_matches_sequential_on_every_topology(
-        topo in topo_strategy(),
-        batches in proptest::collection::vec((0u32..8, 1u32..6, 1u64..2000), 1..5),
-    ) {
-        let run = |shards: u32| {
-            let mut cfg = MachineConfig::clustered(8, 3, topo.clone());
-            cfg.des_shards = shards;
-            let mut k = KernelSim::new(Machine::new(cfg));
-            let code = k.register_code(CodeBlock::new(
-                "w",
-                16,
-                WorkProfile { flops: 120, int_ops: 12, mem_words: 6 },
-                8,
-            ));
-            for &(cluster, reps, at) in &batches {
-                k.initiate(at, cluster, code, reps, None, 4);
-            }
-            let makespan = k.run();
-            (
-                makespan,
-                k.completions().to_vec(),
-                k.machine.stats.total(),
-                k.machine.events,
-            )
-        };
-        let oracle = run(1);
-        for shards in [2u32, 4, 8] {
-            prop_assert_eq!(&run(shards), &oracle, "shards={}", shards);
-        }
     }
 
     /// Completion timestamps are non-decreasing in completion order, and no

@@ -186,21 +186,19 @@ impl Machine {
         PeId::new(c, self.kernel_pe[c as usize])
     }
 
-    /// PEs of cluster `c` eligible for user work at any time: alive, and not
-    /// the kernel PE when the configuration dedicates one.
-    pub fn worker_pes(&self, c: u32) -> Vec<PeId> {
-        let dedicated = self.config.dedicated_kernel_pe && self.alive_count(c) > 1;
-        self.cluster_pes(c)
-            .filter(|&pe| {
-                if self.pe_state(pe).failed {
-                    return false;
-                }
-                if dedicated && pe.index == self.kernel_pe[c as usize] {
-                    return false;
-                }
-                true
-            })
-            .collect()
+    /// PEs of cluster `c` eligible for user work, in index order, each with
+    /// the time it is next free. A PE is eligible if it is alive and is not
+    /// the kernel PE while the configuration dedicates one and another PE
+    /// survives. This is the one eligibility rule: [`Machine::pick_worker`]
+    /// and the kernel's dispatch both scan it, and it allocates nothing.
+    pub fn workers(&self, c: u32) -> impl Iterator<Item = (PeId, Cycles)> + '_ {
+        let lane = self.lanes[c as usize].as_deref();
+        let kernel = (self.config.dedicated_kernel_pe && self.alive_count(c) > 1)
+            .then(|| self.kernel_pe[c as usize]);
+        (0..self.config.pes_per_cluster).filter_map(move |i| {
+            let p = lane.map_or(Pe::IDLE, |l| l[i as usize]);
+            (!p.failed && Some(i) != kernel).then_some((PeId::new(c, i), p.free_at))
+        })
     }
 
     /// Number of surviving PEs in cluster `c`.
@@ -214,9 +212,18 @@ impl Machine {
     /// Earliest-free eligible worker PE of cluster `c` ("assigns available
     /// PE's to process them"). `None` if the cluster is dead.
     pub fn pick_worker(&self, c: u32) -> Option<PeId> {
-        self.worker_pes(c)
-            .into_iter()
-            .min_by_key(|&pe| (self.pe_state(pe).free_at, pe.index))
+        self.workers(c)
+            .min_by_key(|&(pe, free_at)| (free_at, pe.index))
+            .map(|(pe, _)| pe)
+    }
+
+    /// Lowest-indexed eligible worker PE of cluster `c` that is free at
+    /// `now`: the kernel's dispatch choice. `None` if every eligible worker
+    /// is busy or the cluster is dead.
+    pub fn idle_worker(&self, c: u32, now: Cycles) -> Option<PeId> {
+        self.workers(c)
+            .find(|&(_, free_at)| free_at <= now)
+            .map(|(pe, _)| pe)
     }
 
     /// Charge `count` units of `class` to `pe`, starting no earlier than
@@ -340,63 +347,6 @@ impl Machine {
             self.events += 1;
         }
         Ok(t)
-    }
-
-    /// Run `f` over per-shard mutable sections of this machine's PEs,
-    /// merging results back deterministically.
-    ///
-    /// The PE array is cluster-major, and [`ShardMap`] shards are
-    /// contiguous cluster ranges, so each [`ShardSection`] is a disjoint
-    /// subslice — `f` may advance all of them concurrently (e.g. via
-    /// [`fem2_par::each_mut`]). Afterwards the sections' scratch state is
-    /// folded back in shard order: counters into the current stats phase,
-    /// buffered trace events in shard order (ascending cluster order — the
-    /// order the sequential path emits), and the event counter summed.
-    /// Since all merges are order-fixed, the outcome is byte-identical for
-    /// every thread count.
-    ///
-    /// The network, memories, and fault state are *not* exposed to
-    /// sections: cross-cluster traffic and reconfiguration stay in
-    /// sequential code between sections, which is exactly the epoch-barrier
-    /// discipline of the sharded DES backend.
-    ///
-    /// # Panics
-    /// Panics if `map` was built for a different cluster count.
-    pub fn run_sharded<R>(
-        &mut self,
-        map: &crate::shard::ShardMap,
-        f: impl FnOnce(&mut [crate::shard::ShardSection<'_>]) -> R,
-    ) -> R {
-        assert_eq!(
-            map.clusters(),
-            self.config.clusters,
-            "shard map does not match this machine"
-        );
-        let trace_on = self.trace.is_enabled();
-        let mut sections = Vec::with_capacity(map.shards() as usize);
-        let mut rest: &mut [Option<Box<[Pe]>>] = &mut self.lanes;
-        for shard in 0..map.shards() {
-            let range = map.clusters_of(shard);
-            let count = (range.end - range.start) as usize;
-            let (head, tail) = rest.split_at_mut(count);
-            rest = tail;
-            sections.push(crate::shard::ShardSection::new(
-                head,
-                range.start,
-                &self.config,
-                &self.kernel_pe,
-                trace_on,
-            ));
-        }
-        let out = f(&mut sections);
-        for section in sections {
-            self.stats.absorb(&section.counters);
-            self.events += section.events;
-            for ev in section.trace_buf {
-                self.trace.emit(move || ev);
-            }
-        }
-        out
     }
 
     /// Peak memory usage across clusters, in words.
@@ -581,6 +531,10 @@ mod tests {
         Machine::new(MachineConfig::clustered(2, 4, Topology::Crossbar))
     }
 
+    fn worker_ids(m: &Machine, c: u32) -> Vec<PeId> {
+        m.workers(c).map(|(pe, _)| pe).collect()
+    }
+
     #[test]
     fn construction_shapes_resources() {
         let m = machine();
@@ -601,7 +555,7 @@ mod tests {
     #[test]
     fn worker_pes_exclude_kernel_pe() {
         let m = machine();
-        let workers = m.worker_pes(0);
+        let workers = worker_ids(&m, 0);
         assert_eq!(workers.len(), 3);
         assert!(!workers.contains(&PeId::new(0, 0)));
     }
@@ -609,7 +563,7 @@ mod tests {
     #[test]
     fn single_pe_cluster_kernel_also_works() {
         let m = Machine::new(MachineConfig::fem1_style(4));
-        let workers = m.worker_pes(0);
+        let workers = worker_ids(&m, 0);
         assert_eq!(workers, vec![PeId::new(0, 0)]);
     }
 
@@ -684,7 +638,7 @@ mod tests {
             m.charge(0, pe, CostClass::Flop, 1),
             Err(MachineError::PeFailed(_))
         ));
-        assert!(!m.worker_pes(0).contains(&pe));
+        assert!(!worker_ids(&m, 0).contains(&pe));
         assert_eq!(m.reconfigurations, 1);
         // Idempotent.
         m.fail_pe(pe).unwrap();
@@ -697,7 +651,7 @@ mod tests {
         m.fail_pe(PeId::new(0, 0)).unwrap();
         assert_eq!(m.kernel_pe(0), PeId::new(0, 1));
         // Now PE 1 is the kernel PE; workers are 2 and 3.
-        let workers = m.worker_pes(0);
+        let workers = worker_ids(&m, 0);
         assert_eq!(workers, vec![PeId::new(0, 2), PeId::new(0, 3)]);
     }
 
@@ -730,7 +684,7 @@ mod tests {
         m.recover_pe(5_000, PeId::new(0, 0)).unwrap();
         // Back in the worker pool, not back on kernel duty.
         assert_eq!(m.kernel_pe(0), PeId::new(0, 1));
-        assert!(m.worker_pes(0).contains(&PeId::new(0, 0)));
+        assert!(worker_ids(&m, 0).contains(&PeId::new(0, 0)));
         assert!(m.pe(PeId::new(0, 0)).unwrap().free_at >= 5_000);
         assert_eq!(m.reconfigurations, 2);
         // Recovering a healthy PE is a no-op.
@@ -773,122 +727,6 @@ mod tests {
         assert_eq!(lost, 100);
         assert_eq!(m.memory(0).capacity(), cap - 200);
         assert_eq!(m.reconfigurations, 1);
-    }
-
-    /// One deterministic charge script, three executions — sequential
-    /// facade, sharded sections advanced in-order, sharded sections
-    /// advanced concurrently on a pool — must agree bitwise: same PE
-    /// states, same stats, same recorded trace, same event count.
-    #[test]
-    fn run_sharded_matches_sequential_charging() {
-        use crate::shard::ShardMap;
-        use fem2_trace::{RingRecorder, TraceHandle};
-        use std::sync::{Arc, Mutex};
-
-        let clusters = 6u32;
-        // Per-cluster scripts, processed cluster-ascending like the plate
-        // path's task order: (now, class, count) per step.
-        let script: Vec<Vec<(Cycles, CostClass, u64)>> = (0..clusters)
-            .map(|c| {
-                (0..10u64)
-                    .map(|i| {
-                        let class = match (c as u64 + i) % 4 {
-                            0 => CostClass::Flop,
-                            1 => CostClass::IntOp,
-                            2 => CostClass::MemWord,
-                            _ => CostClass::TaskCreate,
-                        };
-                        (i * 13 + c as u64 * 7, class, 1 + (i + c as u64) % 5)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let build = || {
-            let mut m = Machine::new(MachineConfig::clustered(clusters, 4, Topology::Crossbar));
-            let rec = Arc::new(Mutex::new(RingRecorder::new(4096)));
-            m.set_trace(TraceHandle::new(rec.clone()));
-            m.stats.phase("plate");
-            (m, rec)
-        };
-        let snapshot = |m: &Machine, rec: &Arc<Mutex<RingRecorder>>| {
-            let pes: Vec<Pe> = (0..clusters)
-                .flat_map(|c| m.cluster_pes(c))
-                .map(|pe| *m.pe(pe).unwrap())
-                .collect();
-            let events: Vec<fem2_trace::TraceEvent> =
-                rec.lock().unwrap().events().copied().collect();
-            (pes, m.stats.total(), events, m.events, m.makespan())
-        };
-
-        // Sequential reference.
-        let (mut seq, seq_rec) = build();
-        for (c, steps) in script.iter().enumerate() {
-            for &(now, class, count) in steps {
-                let pe = seq.pick_worker(c as u32).unwrap();
-                seq.charge(now, pe, class, count).unwrap();
-            }
-        }
-        let expected = snapshot(&seq, &seq_rec);
-        assert!(expected.3 > 0, "events counter advanced");
-        assert!(!expected.2.is_empty(), "trace recorded");
-
-        for shards in [1u32, 2, 3, 6] {
-            let map = ShardMap::new(clusters, shards);
-            // In-order sections.
-            let (mut m, rec) = build();
-            m.run_sharded(&map, |sections| {
-                for sec in sections.iter_mut() {
-                    for c in sec.first_cluster()..sec.first_cluster() + sec.cluster_count() {
-                        for &(now, class, count) in &script[c as usize] {
-                            let pe = sec.pick_worker(c).unwrap();
-                            sec.charge(now, pe, class, count).unwrap();
-                        }
-                    }
-                }
-            });
-            assert_eq!(snapshot(&m, &rec), expected, "in-order, shards={shards}");
-
-            // Pool-concurrent sections.
-            let (mut m, rec) = build();
-            let pool = fem2_par::Pool::new(4);
-            m.run_sharded(&map, |sections| {
-                fem2_par::each_mut(&pool, sections, |_, sec| {
-                    for c in sec.first_cluster()..sec.first_cluster() + sec.cluster_count() {
-                        for &(now, class, count) in &script[c as usize] {
-                            let pe = sec.pick_worker(c).unwrap();
-                            sec.charge(now, pe, class, count).unwrap();
-                        }
-                    }
-                });
-            });
-            assert_eq!(snapshot(&m, &rec), expected, "pooled, shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_sections_mirror_worker_policy() {
-        use crate::shard::ShardMap;
-        let mut m = machine(); // 2 clusters x 4 PEs, dedicated kernel PE
-        let map = ShardMap::new(2, 2);
-        m.run_sharded(&map, |sections| {
-            // Kernel PE excluded, earliest-free wins, index tie-break —
-            // the exact Machine::pick_worker policy.
-            assert_eq!(sections[0].pick_worker(0), Some(PeId::new(0, 1)));
-            assert_eq!(sections[1].pick_worker(1), Some(PeId::new(1, 1)));
-            assert_eq!(sections[0].kernel_pe(0), PeId::new(0, 0));
-            sections[0]
-                .charge(0, PeId::new(0, 1), CostClass::Flop, 100)
-                .unwrap();
-            assert_eq!(sections[0].pick_worker(0), Some(PeId::new(0, 2)));
-            // Out-of-section PEs are rejected, not silently charged.
-            assert!(matches!(
-                sections[0].charge(0, PeId::new(1, 0), CostClass::Flop, 1),
-                Err(MachineError::NoSuchPe(_))
-            ));
-        });
-        assert_eq!(m.stats.total().flops, 100);
-        assert_eq!(m.events, 1);
     }
 
     #[test]

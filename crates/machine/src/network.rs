@@ -672,9 +672,9 @@ impl Network {
     /// (scaled by the link's degradation factor) and then pays the link
     /// latency, so the bound is `Σ (degrade + link_latency)` over the
     /// current route — independent of message size, contention, and
-    /// injection time. This is the conservative lookahead the sharded DES
-    /// backend derives its epoch horizon from; it is only valid until the
-    /// next fault-state change, which recomputes routes.
+    /// injection time. The kernel checks every remote delivery against it;
+    /// it is only valid until the next fault-state change, which recomputes
+    /// routes.
     pub fn min_delivery_latency(&self, from: u32, to: u32) -> Option<Cycles> {
         if from == to {
             // Local transfers cost at least one memory-pass cycle.
@@ -694,9 +694,8 @@ impl Network {
     /// *healthy* network: the cheapest possible cross-cluster hop costs at
     /// least `hops × (1 + link_latency)` cycles. Faults only lengthen
     /// routes (detours add links, degradation scales occupancy), so the
-    /// bound stays conservative without inspecting per-pair fault state —
-    /// which is what lets the sharded lookahead avoid the O(n²) pair scan
-    /// on large machines.
+    /// bound stays conservative without inspecting per-pair fault state,
+    /// so it costs nothing on large machines.
     pub fn healthy_latency_floor(&self, min_hops: u32) -> Cycles {
         (Cycles::from(min_hops) * (1 + self.link_latency)).max(1)
     }

@@ -9,8 +9,6 @@
 //! *phases* (e.g. `assembly`, `solve`, `stress`) so per-phase requirement
 //! tables can be printed.
 
-use std::collections::BTreeMap;
-
 /// Counters for one phase of an application.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCounters {
@@ -31,8 +29,7 @@ pub struct PhaseCounters {
 }
 
 impl PhaseCounters {
-    /// Fold another set of counters into this one (plain `u64` sums, so
-    /// folding per-shard counters in any fixed order is exact).
+    /// Fold another set of counters into this one.
     pub fn add(&mut self, other: &PhaseCounters) {
         self.flops += other.flops;
         self.int_ops += other.int_ops;
@@ -48,22 +45,17 @@ impl PhaseCounters {
 /// call (matches `fem2_trace`'s startup phase).
 pub const STARTUP_PHASE: &str = "startup";
 
-/// Phase-grouped measurement counters for one run.
-#[derive(Clone, Debug)]
+/// Phase-grouped measurement counters for one run: one list of phases in
+/// first-use order, plus the index of the current one. Counting is an
+/// index into the list, so the per-charge hot path never touches a phase
+/// name.
+#[derive(Clone, Debug, Default)]
 pub struct Stats {
-    phases: BTreeMap<String, PhaseCounters>,
-    order: Vec<String>,
-    current: String,
-}
-
-impl Default for Stats {
-    fn default() -> Self {
-        Stats {
-            phases: BTreeMap::new(),
-            order: Vec::new(),
-            current: STARTUP_PHASE.to_string(),
-        }
-    }
+    phases: Vec<(String, PhaseCounters)>,
+    /// Index of the current phase in `phases`; `None` while the implicit
+    /// [`STARTUP_PHASE`] is current and nothing has been counted in it, so
+    /// startup appears only if something is counted there.
+    current: Option<usize>,
 }
 
 impl Stats {
@@ -73,26 +65,40 @@ impl Stats {
         Self::default()
     }
 
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.phases.iter().position(|(n, _)| n == name)
+    }
+
+    fn push(&mut self, name: &str) -> usize {
+        self.phases
+            .push((name.to_string(), PhaseCounters::default()));
+        self.phases.len() - 1
+    }
+
     /// Switch the current phase; counters accrue to it until the next call.
-    pub fn phase(&mut self, name: impl Into<String>) {
-        let name = name.into();
-        if !self.phases.contains_key(&name) {
-            self.order.push(name.clone());
-            self.phases.insert(name.clone(), PhaseCounters::default());
-        }
-        self.current = name;
+    pub fn phase(&mut self, name: &str) {
+        let i = match self.index_of(name) {
+            Some(i) => i,
+            None => self.push(name),
+        };
+        self.current = Some(i);
     }
 
     /// The current phase name.
     pub fn current_phase(&self) -> &str {
-        &self.current
+        self.current.map_or(STARTUP_PHASE, |i| &self.phases[i].0)
     }
 
     fn cur(&mut self) -> &mut PhaseCounters {
-        if !self.phases.contains_key(&self.current) {
-            self.order.push(self.current.clone());
-        }
-        self.phases.entry(self.current.clone()).or_default()
+        let i = match self.current {
+            Some(i) => i,
+            None => {
+                let i = self.push(STARTUP_PHASE);
+                self.current = Some(i);
+                i
+            }
+        };
+        &mut self.phases[i].1
     }
 
     /// Record `n` floating-point operations.
@@ -127,27 +133,25 @@ impl Stats {
         self.cur().kernel_msgs += 1;
     }
 
-    /// Fold a block of counters into the current phase — how the sharded
-    /// plate path merges per-shard scratch counters back after a parallel
-    /// section.
-    pub fn absorb(&mut self, delta: &PhaseCounters) {
-        self.cur().add(delta);
-    }
-
     /// Counters for a phase, if it exists.
     pub fn get(&self, phase: &str) -> Option<&PhaseCounters> {
-        self.phases.get(phase)
+        self.index_of(phase).map(|i| &self.phases[i].1)
+    }
+
+    /// Phases with their counters, in first-use order.
+    pub fn phases(&self) -> impl Iterator<Item = (&str, &PhaseCounters)> {
+        self.phases.iter().map(|(n, c)| (n.as_str(), c))
     }
 
     /// Phase names in first-use order.
-    pub fn phase_names(&self) -> &[String] {
-        &self.order
+    pub fn phase_names(&self) -> Vec<&str> {
+        self.phases().map(|(n, _)| n).collect()
     }
 
     /// Sum of all phases.
     pub fn total(&self) -> PhaseCounters {
         let mut t = PhaseCounters::default();
-        for c in self.phases.values() {
+        for (_, c) in self.phases() {
             t.add(c);
         }
         t
@@ -170,8 +174,8 @@ impl Stats {
                 name, c.flops, c.int_ops, c.mem_words, c.messages, c.msg_words, c.tasks_created
             );
         };
-        for name in &self.order {
-            render(name, &self.phases[name]);
+        for (name, c) in self.phases() {
+            render(name, c);
         }
         render("TOTAL", &self.total());
         out
@@ -209,10 +213,7 @@ mod tests {
         s.int_ops(7);
         assert_eq!(s.get(STARTUP_PHASE).unwrap().int_ops, 5);
         assert_eq!(s.get("work").unwrap().int_ops, 7);
-        assert_eq!(
-            s.phase_names(),
-            &["startup".to_string(), "work".to_string()]
-        );
+        assert_eq!(s.phase_names(), ["startup", "work"]);
     }
 
     #[test]
@@ -225,7 +226,35 @@ mod tests {
         s.phase("a");
         s.flops(2);
         assert_eq!(s.get("a").unwrap().flops, 3);
-        assert_eq!(s.phase_names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(s.phase_names(), ["a", "b"]);
+    }
+
+    #[test]
+    fn a_phase_switched_to_but_never_charged_still_lists() {
+        let mut s = Stats::new();
+        s.phase("idle");
+        s.phase("work");
+        s.flops(3);
+        assert_eq!(s.phase_names(), ["idle", "work"], "no startup row");
+        assert_eq!(s.get("idle"), Some(&PhaseCounters::default()));
+        assert!(s.table().lines().any(|l| l.starts_with("idle ")));
+        assert_eq!(s.total().flops, 3);
+    }
+
+    #[test]
+    fn returning_to_startup_after_other_phases_appends_it_once() {
+        let mut s = Stats::new();
+        s.phase("a");
+        s.flops(1);
+        s.phase(STARTUP_PHASE);
+        assert_eq!(s.current_phase(), STARTUP_PHASE);
+        s.flops(2);
+        s.phase("a");
+        s.phase(STARTUP_PHASE);
+        s.flops(4);
+        assert_eq!(s.phase_names(), ["a", "startup"]);
+        assert_eq!(s.get("a").unwrap().flops, 1);
+        assert_eq!(s.get(STARTUP_PHASE).unwrap().flops, 6);
     }
 
     #[test]

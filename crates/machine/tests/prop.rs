@@ -1,7 +1,7 @@
 //! Property tests for the hardware simulator: conservation, determinism,
 //! and topology invariants under random traffic.
 
-use fem2_machine::{Machine, MachineConfig, Network, PeId, Topology};
+use fem2_machine::{CostClass, Cycles, Machine, MachineConfig, Network, Pe, PeId, Topology};
 use proptest::prelude::*;
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
@@ -27,7 +27,92 @@ fn torus_dims_strategy() -> impl Strategy<Value = Vec<u32>> {
     ]
 }
 
+/// State of an in-range PE.
+fn state(m: &Machine, pe: PeId) -> Pe {
+    *m.pe(pe).expect("PE ids come from cluster_pes")
+}
+
+/// The collect-then-min worker rule that `Machine::workers` replaced,
+/// kept as the oracle: every alive PE except the kernel PE when one is
+/// dedicated and another PE survives, collected, then minimized.
+fn oracle_workers(m: &Machine, c: u32) -> Vec<PeId> {
+    let alive = m.cluster_pes(c).filter(|&pe| !state(m, pe).failed);
+    let dedicated = m.config.dedicated_kernel_pe && alive.count() > 1;
+    m.cluster_pes(c)
+        .filter(|&pe| !state(m, pe).failed)
+        .filter(|&pe| !(dedicated && pe == m.kernel_pe(c)))
+        .collect()
+}
+
+/// Oracle for `Machine::pick_worker`: earliest free, ties by index.
+fn oracle_pick(m: &Machine, c: u32) -> Option<PeId> {
+    oracle_workers(m, c)
+        .into_iter()
+        .min_by_key(|&pe| (state(m, pe).free_at, pe.index))
+}
+
+/// Oracle for the kernel's dispatch choice: lowest index free at `now`.
+fn oracle_dispatch(m: &Machine, c: u32, now: Cycles) -> Option<PeId> {
+    oracle_workers(m, c)
+        .into_iter()
+        .filter(|&pe| state(m, pe).available(now))
+        .min_by_key(|pe| pe.index)
+}
+
 proptest! {
+    /// The allocation-free worker scan picks exactly what the old
+    /// collect-then-min rule picked, for both callers, over random machine
+    /// states: 1–8 PEs per cluster, a dedicated kernel PE or not, failed
+    /// and recovered PEs (the kernel PE included), a dead cluster, a
+    /// cluster whose lane was never allocated, and random busy times.
+    #[test]
+    fn worker_scan_matches_the_collect_then_min_oracle(
+        ppc in 1u32..=8,
+        dedicated in any::<bool>(),
+        ops in proptest::collection::vec((0u32..3, 0u32..4, 0u32..8, 0u64..400), 0..40),
+        dead in 0u32..6,
+        probes in proptest::collection::vec(0u64..2_000, 1..6),
+    ) {
+        let mut cfg = MachineConfig::clustered(4, ppc, Topology::Crossbar);
+        cfg.dedicated_kernel_pe = dedicated;
+        let mut m = Machine::new(cfg);
+        for &(c, kind, i, x) in &ops {
+            let pe = PeId::new(c, i % ppc);
+            match kind {
+                0 | 1 => {
+                    let _ = m.charge(x, pe, CostClass::Flop, 1 + x % 50);
+                }
+                2 => {
+                    let _ = m.fail_pe(pe);
+                }
+                _ => {
+                    let _ = m.recover_pe(x, pe);
+                }
+            }
+        }
+        if dead < 3 {
+            for i in 0..ppc {
+                let _ = m.fail_pe(PeId::new(dead, i));
+            }
+        }
+        let lanes = m.allocated_cluster_records();
+        prop_assert!(lanes <= 3, "cluster 3 is never touched");
+        for c in 0..4 {
+            prop_assert_eq!(m.pick_worker(c), oracle_pick(&m, c), "pick, cluster {}", c);
+            let busy: Vec<Cycles> = m.cluster_pes(c).map(|pe| state(&m, pe).free_at).collect();
+            for &now in probes.iter().chain(&busy) {
+                prop_assert_eq!(
+                    m.idle_worker(c, now),
+                    oracle_dispatch(&m, c, now),
+                    "dispatch, cluster {} at {}",
+                    c,
+                    now
+                );
+            }
+        }
+        prop_assert_eq!(m.allocated_cluster_records(), lanes, "scans allocate nothing");
+    }
+
     /// Hop counts are symmetric and zero exactly on the diagonal.
     #[test]
     fn hops_symmetric(topo in topo_strategy()) {

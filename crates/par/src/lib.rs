@@ -33,7 +33,7 @@
 
 mod pool;
 
-pub use pool::{chunks_mut, each_mut, Pool, Scope};
+pub use pool::{chunks_mut, Pool, Scope};
 
 /// The default grain size used by convenience wrappers when the caller does
 /// not specify one: small enough to balance, large enough to amortize

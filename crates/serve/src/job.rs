@@ -516,36 +516,6 @@ impl JobSpec {
         }
     }
 
-    /// The cluster-shard count this job executes with under a server
-    /// configured for `server_shards`: a spec-level `des_shards` wins
-    /// (the tenant asked for a specific engine), otherwise the server's
-    /// setting applies. Sharding is bitwise-invisible to results, so —
-    /// like the run budget — it is an execution harness, never part of
-    /// the content hash.
-    pub fn effective_shards(&self, server_shards: u32) -> u32 {
-        let own = match self {
-            JobSpec::Plate(p) => p.machine.des_shards,
-            JobSpec::Script(s) => s.machine.des_shards,
-        };
-        if own > 1 {
-            own
-        } else {
-            server_shards.max(1)
-        }
-    }
-
-    /// A copy of this spec whose machine runs `shards` cluster shards.
-    /// Used by the server to execute admitted jobs sharded without
-    /// touching the submitted spec (or its hash).
-    pub fn with_exec_shards(&self, shards: u32) -> JobSpec {
-        let mut spec = self.clone();
-        match &mut spec {
-            JobSpec::Plate(p) => p.machine.des_shards = shards,
-            JobSpec::Script(s) => s.machine.des_shards = shards,
-        }
-        spec
-    }
-
     /// Whether warning-severity findings are allowed through admission.
     pub fn allow_warnings(&self) -> bool {
         match self {
@@ -821,6 +791,24 @@ mod tests {
         }
         // Topology partitions the cache: same shape, different network.
         assert_ne!(torus.content_hash(), fat.content_hash());
+    }
+
+    /// Specs written while the machine still had a DES shard knob keep
+    /// parsing: unknown machine keys are ignored, so such a spec hashes
+    /// and runs exactly like the same spec without the key.
+    #[test]
+    fn retired_shard_key_in_machine_is_ignored() {
+        let plain_body = sixteen_cluster_body(r#""Crossbar""#);
+        let legacy_body =
+            plain_body.replacen(r#""clusters":16"#, r#""des_shards": 4,"clusters":16"#, 1);
+        assert_ne!(plain_body, legacy_body);
+        let plain = JobSpec::parse(&plain_body).unwrap();
+        let legacy = JobSpec::parse(&legacy_body).unwrap();
+        assert_eq!(legacy.content_hash(), plain.content_hash());
+        assert_eq!(legacy.to_value(), plain.to_value());
+        let outcome = legacy.execute().value;
+        assert_eq!(field(&outcome, "converged"), Some(&Value::Bool(true)));
+        assert_eq!(outcome, plain.execute().value);
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //! report site can plot predicted-vs-actual tightness. Rev 1/2 records
 //! load with no prediction and render without tightness lines.
 //!
-//! Schema rev 4 adds a `shards` field to run records — the cluster-shard
-//! count the run actually executed with — so cached results note their
-//! execution mode. Sharding is bitwise-invisible to outcomes, so the
-//! field is informational and hash-neutral; rev 1–3 records load
-//! unchanged and replay as `shards: 1` (the sequential engine).
+//! Schema rev 4 adds a `shards` field to run records, the DES shard count
+//! the run executed with. The simulator now has one sequential engine, so
+//! the server always writes 1; the field stays so rev-4 files keep their
+//! shape, is hash-neutral, and rev 1–3 records replay as `shards: 1`.
 //!
 //! Crash safety: a torn final line (power loss mid-append) is truncated
 //! away on open — before the append handle is created — so every earlier
@@ -90,8 +89,8 @@ pub struct RunRecord {
     /// a bounded verdict only): an object with `sim_cycles`,
     /// `des_events`, `messages`, and `peak_memory_words`.
     pub predicted: Option<Value>,
-    /// Cluster-shard count the run executed with (rev 4); 1 — the
-    /// sequential engine — for records written before the field existed.
+    /// DES shard count the run executed with (rev 4). Always 1 for runs
+    /// of the one sequential engine and for records older than rev 4.
     pub shards: u32,
 }
 
@@ -419,8 +418,9 @@ impl Registry {
     /// the failure detail in `error`; aborted records additionally carry
     /// the structured `abort_cause`, which decides whether poison
     /// quarantine replays them to later submitters of the same spec.
-    /// `shards` is the cluster-shard count the run executed with (rev 4);
-    /// pass 1 for the sequential engine.
+    /// `shards` fills the rev-4 field of the same name. The simulator has
+    /// one sequential engine, so the server always passes 1; the
+    /// parameter stays for callers written against rev 4.
     #[allow(clippy::too_many_arguments)]
     pub fn record_result(
         &mut self,

@@ -83,11 +83,6 @@ pub struct ServeOptions {
     /// cost bound, in percent (150 = bound × 1.5); clamped to ≥ 100 so
     /// the derived cap can never undercut the bound.
     pub budget_slack_percent: u64,
-    /// Cluster shards admitted jobs execute with (`--shards`); 1 runs the
-    /// sequential reference engine. Sharding is bitwise-invisible to
-    /// results, so this never affects cache keys — a spec-level
-    /// `des_shards` > 1 still wins for that job.
-    pub shards: u32,
 }
 
 impl ServeOptions {
@@ -105,7 +100,6 @@ impl ServeOptions {
             quota_events: None,
             quota_memory_words: None,
             budget_slack_percent: 150,
-            shards: 1,
         }
     }
 }
@@ -202,8 +196,6 @@ pub struct State {
     quota_memory_words: Option<u64>,
     /// Slack (percent, ≥ 100) for budgets auto-derived from cost bounds.
     budget_slack_percent: u64,
-    /// Cluster shards admitted jobs execute with (1 = sequential engine).
-    shards: u32,
 }
 
 /// A running server: bound address plus its threads.
@@ -544,14 +536,6 @@ impl State {
             }
             JobSpec::Script(_) => fem2_machine::RunBudget::unlimited(),
         };
-        // Execute with the server's shard setting (a spec-level
-        // `des_shards` wins). Sharding is bitwise-invisible, so the
-        // override lives only in the executed copy — the submitted spec
-        // (and its cache key) is persisted untouched, and the shard
-        // count rides along on the registry record instead.
-        let shards = spec.effective_shards(self.shards);
-        let sharded = (shards != 1).then(|| spec.with_exec_shards(shards));
-        let exec_spec = sharded.as_ref().unwrap_or(spec);
         let t0 = Instant::now();
         // The unwind boundary: a panic in the scenario (or an injected
         // one) must not cross into the pool scope, where it would poison
@@ -563,7 +547,7 @@ impl State {
             if chaos_panic {
                 panic!("chaos: injected worker panic");
             }
-            exec_spec.execute_with_budget(budget)
+            spec.execute_with_budget(budget)
         }));
         let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if matches!(spec, JobSpec::Plate(_)) {
@@ -573,15 +557,7 @@ impl State {
             Ok(Ok(outcome)) => {
                 // Station 4: persist before publishing, so a result a
                 // tenant saw is a result the next lifetime can serve.
-                match self.persist(
-                    spec,
-                    RunStatus::Ok,
-                    Some(&outcome),
-                    None,
-                    None,
-                    wall_ns,
-                    shards,
-                ) {
+                match self.persist(spec, RunStatus::Ok, Some(&outcome), None, None, wall_ns) {
                     Ok(()) => self.finish(id, JobStatus::Done, Some(outcome.value), wall_ns, None),
                     Err(e) => self.finish(id, JobStatus::Failed, None, wall_ns, Some(e)),
                 }
@@ -600,7 +576,6 @@ impl State {
                     Some(&msg),
                     Some(cause),
                     wall_ns,
-                    shards,
                 );
                 self.finish(id, JobStatus::Aborted, None, wall_ns, Some(msg));
             }
@@ -610,15 +585,7 @@ impl State {
                 // `&payload` would coerce the Box into the trait object and
                 // make every downcast miss.
                 let msg = format!("job panicked: {}", panic_message(&*payload));
-                let _ = self.persist(
-                    spec,
-                    RunStatus::Failed,
-                    None,
-                    Some(&msg),
-                    None,
-                    wall_ns,
-                    shards,
-                );
+                let _ = self.persist(spec, RunStatus::Failed, None, Some(&msg), None, wall_ns);
                 self.finish(id, JobStatus::Failed, None, wall_ns, Some(msg));
             }
         }
@@ -637,12 +604,11 @@ impl State {
         error: Option<&str>,
         abort_cause: Option<&str>,
         wall_ns: u64,
-        shards: u32,
     ) -> Result<(), String> {
         let attempt = || {
             self.registry
                 .lock()
-                .record_result(spec, status, outcome, error, abort_cause, wall_ns, shards)
+                .record_result(spec, status, outcome, error, abort_cause, wall_ns, 1)
                 .map(|_| ())
         };
         let first = match attempt() {
@@ -706,7 +672,6 @@ impl State {
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
             ("workers", Value::UInt(self.workers as u64)),
-            ("shards", Value::UInt(u64::from(self.shards))),
             ("panics", Value::UInt(self.panics.load(Ordering::Relaxed))),
             ("aborts", Value::UInt(self.aborts.load(Ordering::Relaxed))),
             (
@@ -760,7 +725,6 @@ impl State {
                 Value::UInt(self.queue_depth.load(Ordering::Relaxed)),
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
-            ("shards", Value::UInt(u64::from(self.shards))),
             ("in_flight", Value::UInt(in_flight as u64)),
             ("quarantine_size", Value::UInt(quarantine as u64)),
             (
@@ -964,7 +928,6 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         quota_events: opts.quota_events,
         quota_memory_words: opts.quota_memory_words,
         budget_slack_percent: opts.budget_slack_percent.max(100),
-        shards: opts.shards.max(1),
     });
 
     // Scheduler: a long-lived fem2-par scope fed over a channel. Each
@@ -1440,23 +1403,6 @@ mod tests {
         assert!(v.get_field("in_flight").is_ok(), "{body}");
         assert!(v.get_field("quarantine_size").is_ok(), "{body}");
         assert!(v.get_field("last_registry_write_ok").is_ok(), "{body}");
-        handle.stop();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_and_readyz_expose_configured_shard_count() {
-        let dir = temp_dir("shards");
-        let mut opts = ServeOptions::new(dir.clone());
-        opts.shards = 4;
-        let handle = start(&opts).unwrap();
-        let addr = handle.addr();
-        for path in ["/stats", "/readyz"] {
-            let (status, body) = client::request(addr, "GET", path, None).unwrap();
-            assert_eq!(status, 200, "{body}");
-            let v = serde_json::parse_value(&body).unwrap();
-            assert_eq!(v.get_field("shards").unwrap(), &Value::UInt(4), "{body}");
-        }
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
     }
